@@ -144,8 +144,12 @@ class GapPredictor:
             if profile is not None:
                 self._profiles.move_to_end(key)
                 return profile
-        # Build outside the lock: profiles are deterministic functions of the
-        # dataset, so a racing double-build just wastes one construction.
+        # Build outside the lock.  Two threads racing to build the same
+        # profile store equal copies only while the dataset holds still: a
+        # build that overlaps a mutation plus drop_profiles() stores a
+        # profile of the replaced counts after the drop.  Callers that
+        # mutate the dataset must serialize mutation and drop_profiles()
+        # with featurization (PredictionService holds one lock across both).
         profile = AreaDayProfile(
             self.dataset, area_id, day, self.config.window_minutes
         )

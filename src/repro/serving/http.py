@@ -29,16 +29,28 @@ same application also runs behind the selector event loop
 (:mod:`repro.serving.aio`, ``repro serve --io-loop selector``) with
 byte-identical responses.
 
+Framing rule: every reply leaves in ONE write — status line, headers
+and body together — on a socket with ``TCP_NODELAY`` set.  Writing the
+head and the body in two ``send()`` calls lets Nagle's algorithm hold
+the body until the peer ACKs the head, and the peer delays that ACK
+(~40 ms on Linux) on every keep-alive reply.  The same handler serves
+``repro serve`` and the fleet router, so the rule covers every hop; the
+selector loop (:mod:`repro.serving.aio`) frames its replies the same way.
+
 Handler threads are daemons (a hung connection can never pin the
 process), but they are *tracked* and joined — with a short timeout —
 when the server closes, so an in-flight reply (the ``/shutdown``
 acknowledgement in particular) is flushed before the process exits
-rather than racing it.
+rather than racing it.  Closing first shuts the read side of every
+connection, so a handler parked on an idle keep-alive connection sees
+end-of-stream and exits at once; only handlers mid-request take time to
+join.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,15 +69,19 @@ IO_LOOPS = ("threaded", "selector")
 
 
 class _JoiningHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that joins its handler threads on close.
+    """ThreadingHTTPServer that drains its handler threads on close.
 
     The stock ``ThreadingHTTPServer`` sets ``daemon_threads = True`` and
     therefore never joins handlers: ``serve_forever`` can return (after a
     ``shutdown()``) while a handler thread is still writing its response,
     and a process that exits right after loses the reply — the
     ``/shutdown`` race.  This subclass keeps the daemon property but
-    tracks live handler threads and joins each for up to
-    ``handler_join_timeout`` seconds total in :meth:`server_close`.
+    tracks live handler threads with their connections.
+    :meth:`server_close` shuts the read side of every connection — a
+    handler waiting for the next request on an idle keep-alive
+    connection sees end-of-stream and exits, while one mid-request still
+    writes its reply — then joins the handlers for up to
+    ``handler_join_timeout`` seconds total.
     """
 
     daemon_threads = True
@@ -73,7 +89,7 @@ class _JoiningHTTPServer(ThreadingHTTPServer):
     handler_join_timeout = 5.0
 
     def __init__(self, *args, **kwargs) -> None:
-        self._handler_threads: set = set()
+        self._handler_threads: dict = {}
         self._handler_lock = threading.Lock()
         super().__init__(*args, **kwargs)
 
@@ -85,17 +101,23 @@ class _JoiningHTTPServer(ThreadingHTTPServer):
         )
         with self._handler_lock:
             self._handler_threads = {
-                t for t in self._handler_threads if t.is_alive()
+                t: conn for t, conn in self._handler_threads.items()
+                if t.is_alive()
             }
-            self._handler_threads.add(thread)
+            self._handler_threads[thread] = request
         thread.start()
 
     def server_close(self) -> None:
         super().server_close()
         with self._handler_lock:
-            threads, self._handler_threads = self._handler_threads, set()
+            handlers, self._handler_threads = self._handler_threads, {}
+        for conn in handlers.values():
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # the handler already closed it
+                pass
         deadline = time.monotonic() + self.handler_join_timeout
-        for thread in threads:
+        for thread in handlers:
             if thread is threading.current_thread():
                 continue
             remaining = deadline - time.monotonic()
@@ -119,6 +141,9 @@ def make_threaded_handler(app, logger, log_event: str):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted connection (see the module
+        # docstring's framing rule).
+        disable_nagle_algorithm = True
 
         def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
             self._dispatch("GET")
@@ -179,8 +204,14 @@ def make_threaded_handler(app, logger, log_event: str):
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
             self.send_header("Content-Length", str(len(response.data)))
-            self.end_headers()
-            self.wfile.write(response.data)
+            # One write per reply: end_headers() would flush the head on
+            # its own and leave the body to a second send().  Queue the
+            # blank line and the body behind the head instead.
+            if self.request_version == "HTTP/0.9":  # no head at all
+                self.wfile.write(response.data)
+                return
+            self._headers_buffer.extend((b"\r\n", response.data))
+            self.flush_headers()
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             # Route access logs into the structured logger at debug level

@@ -31,6 +31,12 @@ Consistency model
 - :meth:`observe` additionally invalidates the exact ``(area, timeslot)``
   windows an observation touches — load-bearing for order-count updates,
   which the environment hash does not cover.
+- One lock serializes a batch's featurize → forward → cache fill against
+  an observation's apply → profile drop → invalidation.  A batch
+  therefore never stores an answer or a profile computed from counts an
+  observation has since replaced, and never fills the cache after that
+  observation's invalidation: once :meth:`observe` returns, every later
+  answer reflects it.
 """
 
 from __future__ import annotations
@@ -193,6 +199,10 @@ class PredictionService:
             registry=self._registry,
         )
         self._swap_count = 0
+        # Held across _handle_batch's featurize -> forward -> cache fill
+        # and observe's apply -> drop_profiles -> invalidate (see the
+        # module docstring's consistency model).
+        self._data_lock = threading.Lock()
         self._apply_tape_policy(trainer)
         self._engine = _Engine(
             trainer, self._make_predictor(trainer, scalers), version
@@ -533,7 +543,6 @@ class PredictionService:
         The batcher runs this under its ``batcher.batch`` span, so the
         stage spans below nest there automatically.
         """
-        engine = self._engine
         queries: List[GapQuery] = []
         extents: List[Tuple[int, int]] = []
         for item in items:
@@ -543,20 +552,24 @@ class PredictionService:
             else:
                 extents.append((len(queries), 1))
                 queries.append(item)
-        keys = [self._cache_key(engine.version, query) for query in queries]
-        unique: Dict[object, int] = {}
-        unique_queries: List[GapQuery] = []
-        for key, query in zip(keys, queries):
-            if key not in unique:
-                unique[key] = len(unique_queries)
-                unique_queries.append(query)
-        with self._tracer.span("batch.featurize", rows=len(unique_queries)):
-            example_set = engine.predictor._featurize(unique_queries)
-        with self._tracer.span("batch.forward", rows=len(unique_queries)):
-            gaps = engine.trainer.predict(example_set)
-        with self._tracer.span("cache.fill", entries=len(unique)):
-            for key, index in unique.items():
-                self.cache.put(key, float(gaps[index]))
+        with self._data_lock:
+            engine = self._engine
+            # Keys hash the environment windows, so they are read under
+            # the lock too: a key always names the data its gap came from.
+            keys = [self._cache_key(engine.version, query) for query in queries]
+            unique: Dict[object, int] = {}
+            unique_queries: List[GapQuery] = []
+            for key, query in zip(keys, queries):
+                if key not in unique:
+                    unique[key] = len(unique_queries)
+                    unique_queries.append(query)
+            with self._tracer.span("batch.featurize", rows=len(unique_queries)):
+                example_set = engine.predictor._featurize(unique_queries)
+            with self._tracer.span("batch.forward", rows=len(unique_queries)):
+                gaps = engine.trainer.predict(example_set)
+            with self._tracer.span("cache.fill", entries=len(unique)):
+                for key, index in unique.items():
+                    self.cache.put(key, float(gaps[index]))
         self._registry.counter("repro.serving.predictions", len(unique_queries))
         answers = []
         for key, query in zip(keys, queries):
@@ -635,7 +648,8 @@ class PredictionService:
                 raise DataError(f"area {area_id} outside the city")
 
         with self._tracer.span("serving.observe", kind=kind):
-            return self._observe(kind, day, minute, area_id, values)
+            with self._data_lock:
+                return self._observe(kind, day, minute, area_id, values)
 
     def _observe(
         self,

@@ -1,8 +1,10 @@
 """HTTP endpoint round-trip against an in-process server on a free port."""
 
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -216,4 +218,55 @@ def test_shutdown_replies_cleanly_and_drains_handlers(
             assert not handler.is_alive()
         assert not server._handler_threads
     finally:
+        service.close()
+
+
+def test_server_close_does_not_wait_on_idle_keep_alive_clients(
+    checkpoint, mutable_dataset, scale
+):
+    """A client idling on a keep-alive connection must not hold up close.
+
+    Closing shuts the read side of every connection, so the handler
+    parked on the idle socket exits at once instead of burning the whole
+    ``handler_join_timeout``; the ``/shutdown`` caller — itself still
+    holding its keep-alive connection — gets its acknowledgement."""
+    service = PredictionService.from_checkpoint(
+        checkpoint,
+        mutable_dataset,
+        scale.features,
+        serving_config=ServingConfig(max_batch=8, max_wait_ms=1.0),
+    )
+    server = build_server(service, host="127.0.0.1", port=0)
+    close_seconds = []
+
+    def run():
+        server.serve_forever()
+        start = time.monotonic()
+        server.server_close()
+        close_seconds.append(time.monotonic() - start)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+    idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    caller = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        idle.request("GET", "/healthz")
+        reply = idle.getresponse()
+        assert reply.status == 200
+        reply.read()  # the connection now idles, open, until close
+
+        caller.request(
+            "POST", "/shutdown", b"{}", {"Content-Type": "application/json"}
+        )
+        reply = caller.getresponse()
+        assert reply.status == 200
+        assert json.loads(reply.read()) == {"status": "shutting down"}
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert close_seconds[0] < 1.0
+        assert server.handler_join_timeout > 1.0  # the budget went unused
+    finally:
+        idle.close()
+        caller.close()
         service.close()

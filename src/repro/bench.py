@@ -321,8 +321,6 @@ def bench_serving(scale_name: str) -> Dict[str, float]:
             ),
             registry=registry,
         )
-        if not taped:
-            service._engine.predictor.vectorized_featurize = False
         return service, registry
 
     def run_leg(taped: bool, cold_name: str, warm_name: str):

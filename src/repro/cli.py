@@ -286,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prediction-cache time-to-live (default: no expiry)",
     )
     serve.add_argument(
-        "--max-profiles", type=int, default=None, metavar="N",
-        help="bound the warm per-(area, day) featurization cache",
-    )
-    serve.add_argument(
         "--no-tape", action="store_true",
         help="serve through module dispatch instead of the execution "
              "tape (responses are bitwise-identical either way)",
@@ -803,7 +799,6 @@ def cmd_serve(args) -> int:
                 eager_flush=not args.no_eager_flush,
                 cache_size=args.cache_size,
                 cache_ttl_seconds=args.cache_ttl,
-                max_profiles=args.max_profiles,
                 use_tape=False if args.no_tape else None,
             ),
         )

@@ -4,8 +4,17 @@ The :class:`~repro.core.trainer.Trainer` predicts over pre-built
 ExampleSets; a deployed scheduler instead asks "what is the gap going to be
 in area a over the next ten minutes, *now*?".  :class:`GapPredictor` serves
 that query shape: it featurizes on demand from a :class:`CityDataset`
-(profiles and per-weekday histories are built lazily per area and cached)
 and runs the trained model.
+
+Featurization gathers each signal once per (area, day) query group: sd
+straight from the dataset's live order counts (so an orders observation
+needs no refresh), lc and wt from per-area float32 stacks of
+:class:`~repro.features.vectors.AreaDayProfile` tables, each (area, day)
+slice filled once.  Those derive from order and session records that no
+observation mutates, so a filled slice never goes stale.  The extraction
+functions are the profile's own and the per-weekday history sums days in
+:class:`~repro.features.history.HistoryAccumulator`'s order, so online
+features equal :class:`~repro.features.FeatureBuilder`'s bit for bit.
 
 This is the component the paper's conclusion describes deploying inside
 Didi's scheduling system.
@@ -13,24 +22,49 @@ Didi's scheduling system.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..city.calendar import DAYS_PER_WEEK, MINUTES_PER_DAY
 from ..config import FeatureConfig
 from ..exceptions import DataError
 from ..features.builder import SIGNALS, ExampleSet, apply_environment_scalers
 from ..features.environment import extract_environment
-from ..features.vectors import AreaDayProfile
-from .batching import make_batch
+from ..features.vectors import (
+    AreaDayProfile,
+    last_call_at,
+    supply_demand_at,
+    waiting_time_at,
+)
 from .trainer import Trainer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..city.dataset import CityDataset
     from ..nn import Module
+
+
+class _AreaTables:
+    """One area's day-stacked last-call and waiting-time tables (float32).
+
+    ``last_call`` is ``(2, n_days, 1440, L+2)`` and ``waiting_time``
+    ``(2, n_days, L, 1441)``, as :func:`~repro.features.vectors.last_call_at`
+    and :func:`~repro.features.vectors.waiting_time_at` read them.  Every
+    entry is an integer count below 2**24, so float32 is exact.  Day slices
+    are filled on first use; ``np.zeros`` pages untouched slices in lazily.
+    """
+
+    __slots__ = ("last_call", "waiting_time", "filled")
+
+    def __init__(self, n_days: int, window: int) -> None:
+        self.last_call = np.zeros(
+            (2, n_days, MINUTES_PER_DAY, window + 2), dtype=np.float32
+        )
+        self.waiting_time = np.zeros(
+            (2, n_days, window, MINUTES_PER_DAY + 1), dtype=np.float32
+        )
+        self.filled = np.zeros(n_days, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -66,8 +100,6 @@ class GapPredictor:
         dataset: "CityDataset",
         config: FeatureConfig,
         scalers: Dict[str, Tuple[float, float]],
-        *,
-        max_profiles: Optional[int] = None,
     ) -> None:
         if isinstance(model, Trainer):
             self._trainer = model
@@ -79,26 +111,16 @@ class GapPredictor:
             if required not in scalers:
                 raise DataError(f"scalers must contain {required!r}")
         self.scalers = dict(scalers)
-        # Warm featurization state: per-(area, day) profiles, LRU-bounded
-        # when ``max_profiles`` is set (long-running serving processes) and
-        # guarded by a lock so observation ingestion can drop entries while
-        # another thread featurizes.
-        if max_profiles is not None and max_profiles <= 0:
-            raise DataError(f"max_profiles must be positive, got {max_profiles}")
-        self.max_profiles = max_profiles
-        self._profiles: "OrderedDict[Tuple[int, int], AreaDayProfile]" = OrderedDict()
-        self._profiles_lock = threading.Lock()
-        # Vectorized featurization: group queries by (area, day) and
-        # extract signal vectors through the batched AreaDayProfile APIs.
-        # Bitwise-identical to the historical row loop on every field it
-        # fills; set False to force the row loop.
-        self.vectorized_featurize = True
+        # area -> day-stacked lc/wt tables.  Fills only write counts derived
+        # from immutable order/session records, so two threads filling the
+        # same slice write equal values and no lock is needed.
+        self._tables: Dict[int, _AreaTables] = {}
         # Which signal arrays _featurize fills: "all" keeps the builder-
         # parity contract (every signal array populated); "model" fills
         # only the arrays named in the model's ``input_fields`` and leaves
         # the rest zero — predictions are unaffected (the model never
-        # reads them) and a model without history inputs skips prior-day
-        # profile builds entirely.  The serving layer opts into "model".
+        # reads them) and a model without lc/wt inputs never builds a
+        # profile at all.  The serving layer opts into "model".
         self.feature_fields = "all"
 
     @classmethod
@@ -137,40 +159,6 @@ class GapPredictor:
     # Featurization
     # ------------------------------------------------------------------
 
-    def _profile(self, area_id: int, day: int) -> AreaDayProfile:
-        key = (area_id, day)
-        with self._profiles_lock:
-            profile = self._profiles.get(key)
-            if profile is not None:
-                self._profiles.move_to_end(key)
-                return profile
-        # Build outside the lock.  Two threads racing to build the same
-        # profile store equal copies only while the dataset holds still: a
-        # build that overlaps a mutation plus drop_profiles() stores a
-        # profile of the replaced counts after the drop.  Callers that
-        # mutate the dataset must serialize mutation and drop_profiles()
-        # with featurization (PredictionService holds one lock across both).
-        profile = AreaDayProfile(
-            self.dataset, area_id, day, self.config.window_minutes
-        )
-        with self._profiles_lock:
-            self._profiles[key] = profile
-            self._profiles.move_to_end(key)
-            if self.max_profiles is not None:
-                while len(self._profiles) > self.max_profiles:
-                    self._profiles.popitem(last=False)
-        return profile
-
-    def drop_profiles(self, area_id: int, day: int) -> int:
-        """Forget cached profiles for ``(area_id, day)``.
-
-        Call after mutating the dataset's order stream for that area/day so
-        the next featurization rebuilds from the fresh data.  Returns the
-        number of entries dropped.
-        """
-        with self._profiles_lock:
-            return 1 if self._profiles.pop((area_id, day), None) is not None else 0
-
     def _validate(self, query: GapQuery) -> None:
         L = self.config.window_minutes
         if not 0 <= query.area_id < self.dataset.n_areas:
@@ -184,137 +172,114 @@ class GapPredictor:
                 "window and the prediction interval fit inside the day"
             )
 
-    def _history(
-        self, area_id: int, day: int, timeslot: int, signal: str
-    ) -> np.ndarray:
-        """Per-weekday mean of a signal's vectors over prior days — (7, 2L)."""
-        calendar = self.dataset.calendar
-        L = self.config.window_minutes
-        history = np.zeros((7, 2 * L))
-        for weekday in range(7):
-            prior = calendar.days_with_weekday(weekday, before=day)
-            if not prior:
-                continue
-            vectors = [
-                self._signal_vector(self._profile(area_id, m), timeslot, signal)
-                for m in prior
-            ]
-            history[weekday] = np.mean(vectors, axis=0)
-        return history
+    def _area_tables(self, area_id: int, days: np.ndarray) -> _AreaTables:
+        """The area's lc/wt tables, with the slice of every day in ``days``
+        filled (one :class:`AreaDayProfile` build per slice, ever)."""
+        tables = self._tables.get(area_id)
+        if tables is None:
+            tables = self._tables.setdefault(
+                area_id,
+                _AreaTables(self.dataset.n_days, self.config.window_minutes),
+            )
+        for day in days[~tables.filled[days]]:
+            profile = AreaDayProfile(
+                self.dataset, area_id, int(day), self.config.window_minutes
+            )
+            tables.last_call[:, day] = profile.last_call_tables
+            tables.waiting_time[:, day] = profile.waiting_time_tables
+            tables.filled[day] = True
+        return tables
 
-    @staticmethod
-    def _signal_vector(profile: AreaDayProfile, timeslot: int, signal: str) -> np.ndarray:
-        if signal == "sd":
-            return profile.supply_demand_vector(timeslot)
-        if signal == "lc":
-            return profile.last_call_vector(timeslot)
-        return profile.waiting_time_vector(timeslot)
+    def _weekday_means(self, prior: np.ndarray) -> np.ndarray:
+        """Per-weekday float64 means of ``prior`` ``(n, slots, 2L)`` over
+        days ``0…n-1`` — ``(7, slots, 2L)``, zero for weekdays with no
+        prior day.
 
-    @staticmethod
-    def _signal_vectors(
-        profile: AreaDayProfile, timeslots: np.ndarray, signal: str
-    ) -> np.ndarray:
-        if signal == "sd":
-            return profile.supply_demand_vectors(timeslots)
-        if signal == "lc":
-            return profile.last_call_vectors(timeslots)
-        return profile.waiting_time_vectors(timeslots)
+        Day ``d`` sits at ``padded[d // 7, d % 7]``, so summing over the
+        week axis adds each weekday's days in ascending order (the zero
+        padding after the last day adds exactly nothing) and one division
+        follows: the same arithmetic as ``np.mean`` over that weekday's
+        days and as :class:`~repro.features.history.HistoryAccumulator`.
+        """
+        n = len(prior)
+        weeks = -(-n // DAYS_PER_WEEK)
+        padded = np.zeros((weeks * DAYS_PER_WEEK,) + prior.shape[1:])
+        padded[:n] = prior
+        sums = padded.reshape((weeks, DAYS_PER_WEEK) + prior.shape[1:]).sum(axis=0)
+        counts = np.bincount(np.arange(n) % DAYS_PER_WEEK, minlength=DAYS_PER_WEEK)
+        means = sums / np.maximum(counts, 1)[:, None, None]
+        # Position p holds the days with d % 7 == p, whose weekday is
+        # (p + start_weekday) % 7.
+        start = self.dataset.calendar.start_weekday
+        return means[(np.arange(DAYS_PER_WEEK) - start) % DAYS_PER_WEEK]
 
-    def _signals_per_row(self, queries: Sequence[GapQuery]):
-        """The historical row-at-a-time extraction — every signal array."""
-        config = self.config
-        L = config.window_minutes
-        n = len(queries)
-        now = {name: np.empty((n, 2 * L), dtype=np.float32) for name in SIGNALS}
-        hist = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
-        hist_next = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
-        for i, query in enumerate(queries):
-            profile = self._profile(query.area_id, query.day)
-            shifted = query.timeslot + config.gap_minutes
-            for name in SIGNALS:
-                now[name][i] = self._signal_vector(profile, query.timeslot, name)
-                hist[name][i] = self._history(
-                    query.area_id, query.day, query.timeslot, name
-                )
-                hist_next[name][i] = self._history(
-                    query.area_id, query.day, shifted, name
-                )
-        return now, hist, hist_next
-
-    def _signals_grouped(self, queries: Sequence[GapQuery], time_ids: np.ndarray):
-        """Batched extraction: group by (area, day).
+    def _signals(self, area_ids: np.ndarray, day_ids: np.ndarray, time_ids: np.ndarray):
+        """The nine signal arrays, one gather per signal and (area, day).
 
         In ``feature_fields="model"`` mode, only arrays named in the
         model's ``input_fields`` are computed; the rest stay zero (the
-        model never reads them, so predictions are unaffected).  A model
-        that reads no history arrays — the basic network — then never
-        touches prior-day profiles at all, which is the bulk of the
-        cold-path cost.
-
-        Each computed element is bitwise-identical to the per-row path:
-        the batched vector extractions are pure gathers (row-independent),
-        and ``np.mean`` over the leading axis of a stacked ``(k, T, 2L)``
-        array reduces in the same sequential order as over ``(k, 2L)``.
+        model never reads them, so predictions are unaffected).
         """
-        config = self.config
-        L = config.window_minutes
-        n = len(queries)
-        if self.feature_fields == "model":
-            fields = set(self._trainer._input_fields())
-        else:
-            fields = {
-                f"{name}_{part}"
-                for name in SIGNALS
-                for part in ("now", "hist", "hist_next")
-            }
-        need = {
-            name: (
-                f"{name}_now" in fields,
-                f"{name}_hist" in fields,
-                f"{name}_hist_next" in fields,
-            )
-            for name in SIGNALS
-        }
+        C = self.config.gap_minutes
+        L = self.config.window_minutes
+        n = len(area_ids)
+        fields = (
+            set(self._trainer._input_fields())
+            if self.feature_fields == "model" else None
+        )
         now = {name: np.zeros((n, 2 * L), dtype=np.float32) for name in SIGNALS}
         hist = {name: np.zeros((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
         hist_next = {
             name: np.zeros((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS
         }
-        history_signals = [
-            name for name in SIGNALS if need[name][1] or need[name][2]
-        ]
+        wanted = {}  # signal -> which of (now, hist, hist_next) to fill
+        for name in SIGNALS:
+            parts = tuple(
+                fields is None or f"{name}_{part}" in fields
+                for part in ("now", "hist", "hist_next")
+            )
+            if any(parts):
+                wanted[name] = parts
+        if not wanted:
+            return now, hist, hist_next
 
         groups: Dict[Tuple[int, int], List[int]] = {}
-        for i, query in enumerate(queries):
-            groups.setdefault((query.area_id, query.day), []).append(i)
+        for i, key in enumerate(zip(area_ids.tolist(), day_ids.tolist())):
+            groups.setdefault(key, []).append(i)
 
-        calendar = self.dataset.calendar
+        dataset = self.dataset
+        # hist wants days 0…day-1 at t, hist_next at t + C; one gather over
+        # days 0…day at both serves them and the day's own vectors.
+        with_history = any(w[1] or w[2] for w in wanted.values())
         for (area_id, day), indices in groups.items():
             rows = np.array(indices, dtype=np.int64)
             ts = time_ids[rows]
-            profile = self._profile(area_id, day)
-            for name in SIGNALS:
-                if need[name][0]:
-                    now[name][rows] = self._signal_vectors(profile, ts, name)
-            if not history_signals:
-                continue
-            # hist wants vectors at t, hist_next at t + C; one batched
-            # extraction over the concatenation serves both.
-            ts_both = np.concatenate([ts, ts + config.gap_minutes])
-            for weekday in range(7):
-                prior = calendar.days_with_weekday(weekday, before=day)
-                if not prior:
-                    continue
-                profiles = [self._profile(area_id, m) for m in prior]
-                for name in history_signals:
-                    stack = np.stack(
-                        [self._signal_vectors(p, ts_both, name) for p in profiles]
+            T = len(rows)
+            days = np.arange(day + 1) if with_history else np.array([day])
+            slots = np.concatenate([ts, ts + C]) if with_history else ts
+            tables = None
+            if "lc" in wanted or "wt" in wanted:
+                tables = self._area_tables(area_id, days)
+            for name, (need_now, need_hist, need_next) in wanted.items():
+                if name == "sd":
+                    gathered = supply_demand_at(
+                        dataset.valid_counts[area_id],
+                        dataset.invalid_counts[area_id],
+                        days, slots, L,
                     )
-                    mean = np.mean(stack, axis=0)
-                    if need[name][1]:
-                        hist[name][rows, weekday] = mean[: len(rows)]
-                    if need[name][2]:
-                        hist_next[name][rows, weekday] = mean[len(rows):]
+                elif name == "lc":
+                    gathered = last_call_at(tables.last_call, days, slots, L)
+                else:
+                    gathered = waiting_time_at(tables.waiting_time, days, slots, L)
+                if need_now:
+                    now[name][rows] = gathered[-1, :T]
+                if (need_hist or need_next) and day > 0:
+                    # (slots, 7, 2L)
+                    means = self._weekday_means(gathered[:-1]).swapaxes(0, 1)
+                    if need_hist:
+                        hist[name][rows] = means[:T]
+                    if need_next:
+                        hist_next[name][rows] = means[T:]
         return now, hist, hist_next
 
     def _featurize(self, queries: Sequence[GapQuery]) -> ExampleSet:
@@ -325,15 +290,9 @@ class GapPredictor:
         area_ids = np.array([q.area_id for q in queries], dtype=np.int64)
         day_ids = np.array([q.day for q in queries], dtype=np.int64)
         time_ids = np.array([q.timeslot for q in queries], dtype=np.int64)
-        week_ids = np.array(
-            [self.dataset.calendar.day_of_week(q.day) for q in queries],
-            dtype=np.int64,
-        )
+        week_ids = (day_ids + self.dataset.calendar.start_weekday) % DAYS_PER_WEEK
 
-        if self.vectorized_featurize:
-            now, hist, hist_next = self._signals_grouped(queries, time_ids)
-        else:
-            now, hist, hist_next = self._signals_per_row(queries)
+        now, hist, hist_next = self._signals(area_ids, day_ids, time_ids)
 
         environment = extract_environment(
             self.dataset, area_ids, day_ids, time_ids, L
@@ -351,8 +310,9 @@ class GapPredictor:
             lc_now=now["lc"], lc_hist=hist["lc"], lc_hist_next=hist_next["lc"],
             wt_now=now["wt"], wt_hist=hist["wt"], wt_hist_next=hist_next["wt"],
             weather_types=environment.weather_types,
-            temperature=environment.temperature,
-            pm25=environment.pm25,
+            # Standardize from float32, exactly as FeatureBuilder does.
+            temperature=environment.temperature.astype(np.float32),
+            pm25=environment.pm25.astype(np.float32),
             traffic=environment.traffic.astype(np.float32),
             gaps=gaps.astype(np.float32),
             window=L,

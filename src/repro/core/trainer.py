@@ -180,6 +180,11 @@ class Trainer:
         self._eval_tapes: Optional[Dict[int, ForwardTape]] = {}
         self._eval_tape_scales = None
         self._ensemble_states: List[Dict[str, np.ndarray]] = []
+        # predict()'s swap lists, set with _ensemble_states by
+        # _set_ensemble(): the model's parameters and, per snapshot, the
+        # arrays to copy into them in the same order.
+        self._ensemble_params: List = []
+        self._ensemble_arrays: List[List[np.ndarray]] = []
         # Reused epoch-gather destinations (see EpochBatches ``buffers``).
         self._gather_buffers: Dict[str, np.ndarray] = {}
         # Provenance of the most recent fit(), for run manifests.
@@ -351,7 +356,7 @@ class Trainer:
                 break
 
         best = tracker.best_epochs()
-        self._ensemble_states = tracker.states()
+        self._set_ensemble(tracker.states())
         # Leave the live weights at the single best epoch; predict() then
         # ensembles over the best-k snapshots.
         if self._ensemble_states:
@@ -611,7 +616,7 @@ class Trainer:
             # Configs carrying non-roundtrippable values (e.g. a custom loss
             # callable serialized by name) don't matter for inference.
             trainer = cls(model, TrainingConfig())
-        trainer._ensemble_states = checkpoint.ensemble_states()
+        trainer._set_ensemble(checkpoint.ensemble_states())
         model.load_state_dict(trainer._ensemble_states[0])
         model.eval()
         trainer.serving_meta = dict(serving)
@@ -632,15 +637,32 @@ class Trainer:
         inside any micro-batch yields identical bits (the serving
         determinism contract).
         """
-        if not self._ensemble_states:
+        if not self._ensemble_arrays:
             return self._predict_current(example_set, batch_size)
-        current = self.model.state_dict()
+        # Swap snapshots in by copying over the hoisted parameter list: no
+        # module-tree walk per request.  Copies are in place, so tapes and
+        # optimizers keep their references to the parameter arrays.
+        params = self._ensemble_params
+        live = [param.data.copy() for param in params]
         total = np.zeros(example_set.n_items)
-        for state in self._ensemble_states:
-            self.model.load_state_dict(state)
-            total += self._predict_current(example_set, batch_size)
-        self.model.load_state_dict(current)
-        return total / len(self._ensemble_states)
+        try:
+            for arrays in self._ensemble_arrays:
+                for param, value in zip(params, arrays):
+                    np.copyto(param.data, value, casting="unsafe")
+                total += self._predict_current(example_set, batch_size)
+        finally:
+            for param, value in zip(params, live):
+                np.copyto(param.data, value)
+        return total / len(self._ensemble_arrays)
+
+    def _set_ensemble(self, states: List[Dict[str, np.ndarray]]) -> None:
+        """Adopt best-k snapshots for :meth:`predict`, checked here (keys and
+        shapes, as :meth:`Module.load_state_dict` checks) so that
+        :meth:`predict` only copies."""
+        matched = [self.model.match_state(state) for state in states]
+        self._ensemble_states = list(states)
+        self._ensemble_params = [param for param, _ in matched[0]] if matched else []
+        self._ensemble_arrays = [[value for _, value in row] for row in matched]
 
     def _predict_current(
         self, example_set: ExampleSet, batch_size: int = 1024

@@ -407,16 +407,16 @@ class ExperimentContext:
             }
             model.load_state_dict(live)
             n_ensemble = int(archive["n_ensemble"][0])
-            trainer._ensemble_states = []
-            for i in range(n_ensemble):
-                prefix = f"ens{i}__"
-                trainer._ensemble_states.append(
+            trainer._set_ensemble(
+                [
                     {
-                        name[len(prefix):]: archive[name]
+                        name[len(f"ens{i}__"):]: archive[name]
                         for name in archive.files
-                        if name.startswith(prefix)
+                        if name.startswith(f"ens{i}__")
                     }
-                )
+                    for i in range(n_ensemble)
+                ]
+            )
             # Normalisation scales are refit from the train set (they are
             # deterministic given the data, so this matches training time).
             from ..core import InputScales

@@ -21,6 +21,14 @@ For an area ``a`` at timeslot ``t`` on day ``d`` with window size ``L``:
   sums over the gap axis;
 - the waiting-time vector needs counts of sessions by (first minute, wait,
   served); we store cumulative sums over the first-minute axis.
+
+The extraction arithmetic lives in three functions over *day-stacked*
+tables — :func:`supply_demand_at`, :func:`last_call_at` and
+:func:`waiting_time_at` — which gather the vectors of many days at many
+timeslots in one fancy index.  :class:`AreaDayProfile` calls them on its
+own one-day tables, and the online featurizer
+(:class:`repro.core.GapPredictor`) on per-area stacks of those tables, so
+one implementation serves training and serving.
 """
 
 from __future__ import annotations
@@ -35,6 +43,87 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..city.dataset import CityDataset
 
 from ..city.calendar import MINUTES_PER_DAY
+
+#: Day index of a profile's own tables inside their one-day stacks.
+_ONE_DAY = np.zeros(1, dtype=np.int64)
+
+
+def _lag_minutes(timeslots: np.ndarray, window: int) -> np.ndarray:
+    """``(T, L)`` minutes ``t - ℓ`` for ℓ = 1…L."""
+    return timeslots[:, None] - np.arange(1, window + 1)[None, :]
+
+
+def supply_demand_at(
+    valid: np.ndarray,
+    invalid: np.ndarray,
+    days: np.ndarray,
+    timeslots: np.ndarray,
+    window: int,
+) -> np.ndarray:
+    """``V_sd`` (Definition 5) per day and timeslot — ``(k, T, 2L)``.
+
+    ``valid``/``invalid`` are ``(n_days, 1440)`` per-minute order counts
+    of one area; ``days`` (k,) index their first axis.  Dimension ℓ-1
+    counts valid orders at ``t-ℓ``; dimension L+ℓ-1 invalid ones.
+    """
+    minutes = _lag_minutes(timeslots, window)[None]
+    rows = days[:, None, None]
+    out = np.empty(
+        (len(days), len(timeslots), 2 * window),
+        dtype=np.result_type(valid, invalid),
+    )
+    out[..., :window] = valid[rows, minutes]
+    out[..., window:] = invalid[rows, minutes]
+    return out
+
+
+def last_call_at(
+    suffix: np.ndarray, days: np.ndarray, timeslots: np.ndarray, window: int
+) -> np.ndarray:
+    """``V_lc`` (Definition 6) per day and timeslot — ``(k, T, 2L)``.
+
+    ``suffix`` is ``(2, n_days, 1440, L+2)``: validity (valid first) ×
+    day × the last-call suffix table (see
+    :meth:`AreaDayProfile._build_last_call_tables`).  The order at
+    ``t-ℓ`` was its passenger's last call before ``t`` iff its next-call
+    gap is at least ℓ, so dimension ℓ-1 reads ``suffix[valid, d, t-ℓ, ℓ]``.
+    """
+    lags = np.arange(1, window + 1)
+    minutes = _lag_minutes(timeslots, window)
+    gathered = suffix[
+        np.arange(2)[None, None, :, None],
+        days[:, None, None, None],
+        minutes[None, :, None, :],
+        lags,
+    ]  # (k, T, validity, L)
+    return gathered.reshape(len(days), len(timeslots), 2 * window)
+
+
+def waiting_time_at(
+    cumsum: np.ndarray, days: np.ndarray, timeslots: np.ndarray, window: int
+) -> np.ndarray:
+    """``V_wt`` (Definition 7) per day and timeslot — ``(k, T, 2L)``.
+
+    ``cumsum`` is ``(2, n_days, L, 1441)``: served (served first) × day ×
+    the waiting-time cumulative table (see
+    :meth:`AreaDayProfile._build_waiting_time_tables`).  Dimension w counts
+    sessions with wait exactly w whose first call lies in ``[t-L, t-w)``,
+    so their last call (first + w) is inside the window.
+    """
+    L = window
+    waits = np.arange(L)
+    upper = np.maximum(timeslots[:, None] - waits[None, :], 0)
+    lower = np.broadcast_to(np.maximum(timeslots - L, 0)[:, None], upper.shape)
+    upper = np.maximum(upper, lower)
+    bounds = np.stack([upper, lower], axis=1)  # (T, upper/lower, L)
+    gathered = cumsum[
+        np.arange(2)[None, None, :, None, None],
+        days[:, None, None, None, None],
+        waits,
+        bounds[None, :, None, :, :],
+    ]  # (k, T, served, upper/lower, L)
+    counts = gathered[..., 0, :] - gathered[..., 1, :]
+    return counts.reshape(len(days), len(timeslots), 2 * L)
 
 
 class AreaDayProfile:
@@ -72,11 +161,11 @@ class AreaDayProfile:
     def _build_last_call_tables(self, orders: np.ndarray) -> None:
         """Suffix tables for the last-call vector.
 
-        ``suffix[v][m, k]`` = number of orders (validity ``v``) at minute
-        ``m`` whose passenger's next call is at least ``k`` minutes later
-        (no next call counts as infinitely later).  ``k`` is clamped to the
-        table's last column, which holds the "no further call before any
-        horizon ≤ L" count.
+        ``last_call_tables[v, m, k]`` = number of orders (validity ``v``,
+        valid first) at minute ``m`` whose passenger's next call is at
+        least ``k`` minutes later (no next call counts as infinitely
+        later).  ``k`` is clamped to the table's last column, which holds
+        the "no further call before any horizon ≤ L" count.
         """
         L = self.window
         n = len(orders)
@@ -98,21 +187,22 @@ class AreaDayProfile:
         else:
             next_gap = np.empty(0, dtype=np.int64)
 
-        self._lc_suffix = []
-        for validity in (True, False):
+        # (validity, minute, k) with valid orders first.
+        self.last_call_tables = np.empty((2, MINUTES_PER_DAY, L + 2))
+        for index, validity in enumerate((True, False)):
             mask = valid == validity
             table = np.zeros((MINUTES_PER_DAY, L + 2), dtype=np.int64)
             if mask.any():
                 np.add.at(table, (ts[mask], next_gap[mask]), 1)
             # suffix over gap axis: column k = count(gap >= k)
-            suffix = table[:, ::-1].cumsum(axis=1)[:, ::-1]
-            self._lc_suffix.append(suffix.astype(np.float64))
+            self.last_call_tables[index] = table[:, ::-1].cumsum(axis=1)[:, ::-1]
 
     def _build_waiting_time_tables(self, sessions: np.ndarray) -> None:
         """Cumulative tables for the waiting-time vector.
 
-        ``cumsum[served][w, m]`` = number of sessions with wait exactly
-        ``w`` minutes and first call strictly before minute ``m``.
+        ``waiting_time_tables[s, w, m]`` = number of sessions (served
+        flag ``s``, served first) with wait exactly ``w`` minutes and first
+        call strictly before minute ``m``.
         """
         L = self.window
         first = sessions["first_ts"].astype(np.int64)
@@ -120,16 +210,14 @@ class AreaDayProfile:
         served = sessions["served"]
         in_range = wait < L  # longer waits cannot fit inside any window
 
-        self._wt_cumsum = []
-        for served_flag in (True, False):
+        # (served, wait, minute) with served sessions first.
+        self.waiting_time_tables = np.zeros((2, L, MINUTES_PER_DAY + 1))
+        for index, served_flag in enumerate((True, False)):
             mask = (served == served_flag) & in_range
             table = np.zeros((L, MINUTES_PER_DAY), dtype=np.int64)
             if mask.any():
                 np.add.at(table, (wait[mask], first[mask]), 1)
-            cumsum = np.concatenate(
-                [np.zeros((L, 1), dtype=np.int64), table.cumsum(axis=1)], axis=1
-            )
-            self._wt_cumsum.append(cumsum.astype(np.float64))
+            self.waiting_time_tables[index, :, 1:] = table.cumsum(axis=1)
 
     # ------------------------------------------------------------------
     # Vector extraction (batched over timeslots)
@@ -155,27 +243,21 @@ class AreaDayProfile:
         counts invalid orders at ``t-ℓ``.
         """
         timeslots = self._check_timeslots(timeslots)
-        lags = np.arange(1, self.window + 1)
-        minutes = timeslots[:, None] - lags[None, :]
-        return np.concatenate(
-            [self.valid_counts[minutes], self.invalid_counts[minutes]], axis=1
-        )
+        return supply_demand_at(
+            self.valid_counts[None], self.invalid_counts[None],
+            _ONE_DAY, timeslots, self.window,
+        )[0]
 
     def last_call_vectors(self, timeslots: np.ndarray) -> np.ndarray:
         """``V_lc`` (Definition 6) for each timeslot — shape ``(T, 2L)``.
 
         Dimension ℓ-1 counts passengers whose last call in the window was a
-        *valid* order at ``t-ℓ``; dimension L+ℓ-1 the invalid ones.  "Last
-        call" means no further call by the same passenger before ``t``,
-        i.e. the order's next-call gap is at least ℓ.
+        *valid* order at ``t-ℓ``; dimension L+ℓ-1 the invalid ones.
         """
         timeslots = self._check_timeslots(timeslots)
-        lags = np.arange(1, self.window + 1)
-        minutes = timeslots[:, None] - lags[None, :]
-        gather = (minutes, np.broadcast_to(lags[None, :], minutes.shape))
-        return np.concatenate(
-            [self._lc_suffix[0][gather], self._lc_suffix[1][gather]], axis=1
-        )
+        return last_call_at(
+            self.last_call_tables[:, None], _ONE_DAY, timeslots, self.window
+        )[0]
 
     def waiting_time_vectors(self, timeslots: np.ndarray) -> np.ndarray:
         """``V_wt`` (Definition 7) for each timeslot — shape ``(T, 2L)``.
@@ -185,19 +267,9 @@ class AreaDayProfile:
         who were eventually served; dimension L+w the unserved ones.
         """
         timeslots = self._check_timeslots(timeslots)
-        L = self.window
-        waits = np.arange(L)
-        # Sessions with first call in [t-L, t-w) have their last call
-        # (first + w) inside the window.
-        upper = np.maximum(timeslots[:, None] - waits[None, :], 0)
-        lower = np.maximum(timeslots - L, 0)
-        lower = np.broadcast_to(lower[:, None], upper.shape)
-        upper = np.maximum(upper, lower)
-        cols = np.broadcast_to(waits[None, :], upper.shape)
-        parts = []
-        for table in self._wt_cumsum:
-            parts.append(table[cols, upper] - table[cols, lower])
-        return np.concatenate(parts, axis=1)
+        return waiting_time_at(
+            self.waiting_time_tables[:, None], _ONE_DAY, timeslots, self.window
+        )[0]
 
     # Single-timeslot conveniences -------------------------------------
 

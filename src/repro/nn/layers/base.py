@@ -8,7 +8,7 @@ which is how the DeepSD blocks hold their per-weekday sublayers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -118,6 +118,17 @@ class Module:
         strategy relies on: an advanced model grown with new environment
         blocks loads the old model's weights for the shared blocks only.
         """
+        # Copy in place: execution tapes and allocation-free optimizers
+        # hold references to the parameter arrays, which must survive
+        # checkpoint loads and ensemble state swaps.
+        for param, value in self.match_state(state, strict):
+            np.copyto(param.data, value, casting="unsafe")
+
+    def match_state(
+        self, state: Dict[str, np.ndarray], strict: bool = True
+    ) -> List[Tuple[Parameter, np.ndarray]]:
+        """``(parameter, array)`` pairs, in parameter order, that
+        :meth:`load_state_dict` copies — checked for keys and shapes."""
         own = dict(self.named_parameters())
         missing = [k for k in own if k not in state]
         unexpected = [k for k in state if k not in own]
@@ -125,6 +136,7 @@ class Module:
             raise KeyError(
                 f"state dict mismatch: missing={missing!r} unexpected={unexpected!r}"
             )
+        pairs = []
         for name, param in own.items():
             if name not in state:
                 continue
@@ -134,7 +146,5 @@ class Module:
                     f"shape mismatch for {name!r}: "
                     f"checkpoint {value.shape} vs model {param.data.shape}"
                 )
-            # Copy in place: execution tapes and allocation-free optimizers
-            # hold references to the parameter arrays, which must survive
-            # checkpoint loads and ensemble state swaps.
-            np.copyto(param.data, value, casting="unsafe")
+            pairs.append((param, value))
+        return pairs

@@ -419,7 +419,7 @@ class FleetSupervisor:
     def broadcast_observe(self, body: dict) -> Tuple[int, dict]:
         """Journal + fan an observation out to every live worker.
 
-        Returns the summed ``invalidated``/``profiles_dropped`` counts.
+        Returns the summed ``invalidated`` count.
         Because each cached prediction lives on exactly one shard (the
         router partitions queries), the fleet-wide ``invalidated`` sum
         equals what a single process with every entry in one cache would
@@ -435,7 +435,7 @@ class FleetSupervisor:
                 _log.event(
                     "fleet.journal_overflow", dropped=self._journal_dropped
                 )
-            totals = {"invalidated": 0, "profiles_dropped": 0}
+            invalidated = 0
             reached = 0
             failure: Optional[Tuple[int, dict]] = None
             for worker in self.workers:
@@ -453,8 +453,7 @@ class FleetSupervisor:
                     failure = (status, payload)
                     break
                 reached += 1
-                for key in totals:
-                    totals[key] += int(payload.get(key, 0))
+                invalidated += int(payload.get("invalidated", 0))
             if failure is not None:
                 # Validation failures are deterministic across replicas
                 # (same code, same state): nothing mutated anywhere, so
@@ -463,8 +462,7 @@ class FleetSupervisor:
                     self._journal.pop()
                 return failure
             self.registry.counter("repro.fleet.observes")
-            totals["workers_reached"] = reached
-            return 200, totals
+            return 200, {"invalidated": invalidated, "workers_reached": reached}
 
     def broadcast_reload(self, checkpoint: str) -> Tuple[int, dict]:
         """Hot-swap every worker to ``checkpoint``; respawns load it too."""

@@ -11,7 +11,7 @@ concurrency shape the micro-batcher coalesces) framing the routes of
   the items as sequential ``/predict`` calls;
 - ``POST /observe``  ``{"kind": "weather"|"traffic"|"orders", "day": int,
   "minute": int, "area": int?, "values": {...}}`` →
-  ``{"invalidated": int, "profiles_dropped": int}``;
+  ``{"invalidated": int}``;
 - ``GET /healthz``   liveness + current checkpoint version;
 - ``GET /stats``     :meth:`PredictionService.stats`;
 - ``GET /metrics``   Prometheus text exposition of the service registry

@@ -4,7 +4,7 @@
 conclusion sketches (DeepSD inside Didi's scheduling system).  It loads a
 trained model from a checkpoint bundle (:meth:`from_checkpoint`), keeps
 warm per-city featurization state (the :class:`~repro.core.GapPredictor`
-profile cache), and answers ``predict(area, day, timeslot)`` queries
+per-area count tables), and answers ``predict(area, day, timeslot)`` queries
 through a micro-batching queue: concurrent requests accumulate while the
 previous batch is in flight (eager flush, the default) or for up to
 ``max_wait_ms`` (``eager_flush=False``), then are featurized and
@@ -31,12 +31,14 @@ Consistency model
 - :meth:`observe` additionally invalidates the exact ``(area, timeslot)``
   windows an observation touches — load-bearing for order-count updates,
   which the environment hash does not cover.
+- Featurization reads order counts live from the dataset, and its cached
+  last-call/waiting-time tables derive from order records no observation
+  mutates, so an observation leaves no featurization state to refresh.
 - One lock serializes a batch's featurize → forward → cache fill against
-  an observation's apply → profile drop → invalidation.  A batch
-  therefore never stores an answer or a profile computed from counts an
-  observation has since replaced, and never fills the cache after that
-  observation's invalidation: once :meth:`observe` returns, every later
-  answer reflects it.
+  an observation's apply → invalidation.  A batch therefore never stores
+  an answer computed from counts an observation has since replaced, and
+  never fills the cache after that observation's invalidation: once
+  :meth:`observe` returns, every later answer reflects it.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ class ServingConfig:
     eager_flush: bool = True
     cache_size: int = 4096
     cache_ttl_seconds: Optional[float] = None
-    max_profiles: Optional[int] = None
     #: Execution-tape forwards: None defers to the trainer/model default
     #: (on for tape-safe models); False forces module dispatch.  Applied
     #: to every engine, including hot-swapped checkpoints.
@@ -200,7 +201,7 @@ class PredictionService:
         )
         self._swap_count = 0
         # Held across _handle_batch's featurize -> forward -> cache fill
-        # and observe's apply -> drop_profiles -> invalidate (see the
+        # and observe's apply -> invalidate (see the
         # module docstring's consistency model).
         self._data_lock = threading.Lock()
         self._apply_tape_policy(trainer)
@@ -293,11 +294,10 @@ class PredictionService:
             self.dataset,
             self.config,
             scalers,
-            max_profiles=self.serving_config.max_profiles,
         )
         # Serving only ever consumes predictions, so featurize just the
-        # arrays the model reads — a model without history inputs then
-        # skips prior-day profile builds, the bulk of the cold-path cost.
+        # arrays the model reads — a model without lc/wt inputs then never
+        # builds a profile.
         predictor.feature_fields = "model"
         return predictor
 
@@ -518,7 +518,7 @@ class PredictionService:
         Keys change whenever the environment inputs the model would see
         change, so cached gaps can never outlive the data they were
         computed from.  Order counts are intentionally NOT hashed (the
-        profile vectors are too wide to hash per request); order
+        signal vectors are too wide to hash per request); order
         observations rely on targeted invalidation instead.
         """
         L = self.config.window_minutes
@@ -628,12 +628,11 @@ class PredictionService:
         timeslots ``t`` with ``m < t <= m + L`` — only those cache
         entries are dropped (for every area on weather, which is
         city-wide; for ``area_id`` alone on traffic and orders).  Order
-        observations additionally drop the warm profile for
-        ``(area_id, day)`` and any cached entry for later days in that
-        area, whose per-weekday histories may average over the mutated
-        day.
+        observations additionally drop any cached entry for later days in
+        that area, whose per-weekday histories may average over the
+        mutated day.
 
-        Returns ``{"invalidated": n, "profiles_dropped": m}``.
+        Returns ``{"invalidated": n}``.
         """
         if kind not in ObservationKind:
             raise DataError(f"unknown observation kind {kind!r}; known: {ObservationKind}")
@@ -660,7 +659,6 @@ class PredictionService:
         values: Dict,
     ) -> Dict[str, int]:
         L = self.config.window_minutes
-        profiles_dropped = 0
         if kind == "weather":
             self._apply_weather(day, minute, values)
 
@@ -679,7 +677,6 @@ class PredictionService:
 
         else:  # orders
             self._apply_orders(area_id, day, minute, values)
-            profiles_dropped = self._engine.predictor.drop_profiles(area_id, day)
 
             def stale(key) -> bool:
                 if key[1] != area_id:
@@ -699,7 +696,7 @@ class PredictionService:
             area=area_id,
             invalidated=invalidated,
         )
-        return {"invalidated": invalidated, "profiles_dropped": profiles_dropped}
+        return {"invalidated": invalidated}
 
     def _apply_weather(self, day: int, minute: int, values: Dict) -> None:
         known = {"weather_type", "temperature", "pm25"}

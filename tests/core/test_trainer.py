@@ -128,6 +128,53 @@ class TestTrainer:
         ensembled = trainer.predict(test_set)
         assert not np.array_equal(single, ensembled)
 
+    def test_ensemble_swap_matches_load_state_dict_loop(self, train_set, test_set, scale):
+        """predict() over a 3-member ensemble equals the load_state_dict
+        loop bit for bit and leaves the live weights as they were — also
+        between the epochs of a later fit, which must then train exactly
+        as if predict() had never run."""
+
+        def reference(trainer):
+            current = trainer.model.state_dict()
+            total = np.zeros(test_set.n_items)
+            for state in trainer._ensemble_states:
+                trainer.model.load_state_dict(state)
+                total += trainer._predict_current(test_set)
+            trainer.model.load_state_dict(current)
+            return total / len(trainer._ensemble_states)
+
+        def make():
+            model = BasicDeepSD(train_set.n_areas, scale.features.window_minutes, seed=4)
+            trainer = Trainer(model, TrainingConfig(epochs=4, best_k=3, seed=4))
+            trainer.fit(train_set)
+            return trainer
+
+        def assert_same_state(a, b):
+            assert a.keys() == b.keys()
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name], name)
+
+        trainer = make()
+        assert len(trainer._ensemble_states) == 3
+        live = trainer.model.state_dict()
+        np.testing.assert_array_equal(trainer.predict(test_set), reference(trainer))
+        assert_same_state(trainer.model.state_dict(), live)
+
+        checked = []
+
+        def between_epochs(epoch, history):
+            before = trainer.model.state_dict()
+            got = trainer.predict(test_set)
+            assert_same_state(trainer.model.state_dict(), before)
+            np.testing.assert_array_equal(got, reference(trainer))
+            checked.append(epoch)
+
+        trainer.fit(train_set, callback=between_epochs)
+        assert checked == [0, 1, 2, 3]
+        untouched = make()
+        untouched.fit(train_set)
+        assert_same_state(trainer.model.state_dict(), untouched.model.state_dict())
+
     def test_snapshot_memory_bounded_by_best_k(self, train_set, scale):
         """fit() must never retain more than best_k epoch snapshots."""
         model = BasicDeepSD(train_set.n_areas, scale.features.window_minutes, seed=0)

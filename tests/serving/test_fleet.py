@@ -192,9 +192,7 @@ def test_four_shard_fleet_is_bitwise_identical_to_one_process(
                     assert payload["workers_reached"] == 4
                     # Each cached entry lives on exactly one shard, so
                     # the summed exact-set invalidations match the
-                    # single-process count.  (profiles_dropped may
-                    # legitimately exceed it: several replicas can hold
-                    # the same (area, day) warm profile.)
+                    # single-process count.
                     assert payload["invalidated"] == local["invalidated"], body
     finally:
         reference.close()

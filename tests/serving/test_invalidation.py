@@ -5,8 +5,13 @@ An observation at minute ``m`` sits inside the lookback window of slots
 orders touch one area.  Everything else must stay warm in the cache.
 """
 
+import copy
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
+from repro.core import GapQuery
 from repro.exceptions import DataError
 from repro.serving import PredictionService, ServingConfig
 
@@ -88,7 +93,9 @@ def test_weather_change_also_changes_the_prediction(service):
     assert after != before
 
 
-def test_orders_observation_drops_profile_and_later_days(service, scale):
+def test_orders_observation_refreshes_answers_and_drops_later_days(
+    service, checkpoint, dataset, scale
+):
     day, area = 3, 2
     queries = [
         (area, day, 110),        # affected slot on the observed day
@@ -99,11 +106,9 @@ def test_orders_observation_drops_profile_and_later_days(service, scale):
     ]
     _fill(service, queries)
 
-    outcome = service.observe(
-        "orders", day=day, minute=100, area_id=area, valid=7, invalid=5
-    )
-    assert outcome["profiles_dropped"] == 1
-    assert outcome["invalidated"] == 2  # (area, day, 110) and (area, day+2, 110)
+    observation = dict(day=day, minute=100, area_id=area, valid=7, invalid=5)
+    outcome = service.observe("orders", **observation)
+    assert outcome == {"invalidated": 2}  # (area, day, 110) and (area, day+2, 110)
 
     flags = _cached_flags(service, queries)
     assert flags[(area, day, 110)] is False
@@ -111,6 +116,32 @@ def test_orders_observation_drops_profile_and_later_days(service, scale):
     assert flags[(area, day + 2, 110)] is False
     assert flags[(area + 1, day, 110)] is True
     assert flags[(area, day - 1, 110)] is True
+
+    # The warm service's answers, and its features for every field (history
+    # included), equal those of a fresh service that applied the same
+    # observation before it ever featurized.
+    fresh = PredictionService.from_checkpoint(
+        checkpoint, copy.deepcopy(dataset), scale.features,
+        serving_config=ServingConfig(max_batch=8, max_wait_ms=0.0),
+    )
+    try:
+        fresh.observe("orders", **observation)
+        for query in queries:
+            assert service.predict(*query).gap == fresh.predict(*query).gap, query
+        warm, cold = service._engine.predictor, fresh._engine.predictor
+        warm.feature_fields = cold.feature_fields = "all"
+        gap_queries = [GapQuery(*q) for q in queries]
+        got, want = warm._featurize(gap_queries), cold._featurize(gap_queries)
+        for f in fields(got):
+            if isinstance(getattr(got, f.name), np.ndarray):
+                np.testing.assert_array_equal(
+                    getattr(got, f.name), getattr(want, f.name), f.name
+                )
+        # Slot 110 sees minute 100 at lag 10: the observed counts.
+        L = scale.features.window_minutes
+        assert (got.sd_now[0, 9], got.sd_now[0, L + 9]) == (7, 5)
+    finally:
+        fresh.close()
 
 
 def test_orders_observation_updates_gap_labels(service):

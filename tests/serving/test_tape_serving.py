@@ -9,8 +9,6 @@ across batch sizes, threads, and the small-block tapes short batches use.
 
 import threading
 
-import numpy as np
-
 from repro.serving import PredictionService, ServingConfig
 
 
@@ -85,29 +83,5 @@ def test_taped_service_batch_invariant(checkpoint, dataset, scale):
         assert not errors, errors
         for query in queries:
             assert results[query] == singles[query], query
-    finally:
-        service.close()
-
-
-def test_vectorized_featurize_matches_per_row(checkpoint, dataset, scale):
-    """The grouped featurizer and the historical per-row loop agree bitwise,
-    in both field modes (builder-parity "all" and serving's "model")."""
-    queries = _queries(dataset, scale, n=12)
-    service = _make_service(checkpoint, dataset, scale, use_tape=False)
-    try:
-        predictor = service._engine.predictor
-        from repro.core import GapQuery
-
-        gap_queries = [GapQuery(*q) for q in queries]
-        for fields in ("model", "all"):
-            predictor.feature_fields = fields
-            predictor.vectorized_featurize = True
-            fast = predictor._featurize(gap_queries)
-            predictor.vectorized_featurize = False
-            predictor.feature_fields = "all"
-            slow = predictor._featurize(gap_queries)
-            fast_pred = service._engine.trainer.predict(fast)
-            slow_pred = service._engine.trainer.predict(slow)
-            assert np.array_equal(fast_pred, slow_pred), fields
     finally:
         service.close()
